@@ -48,17 +48,19 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# race-concurrent runs every parallel engine path — the mtm concurrent
-# backend, the shard-parallel round engine (including the root package's
-# n=10k all-algorithms/all-adversaries workload), the adversary schedules
-# driven through them, the observer/trace layers that tap them, the
-# profiling read side (live /metrics scrapes and histogram reads against
-# a profiled parallel session), and the daemon's full-service traffic mix
-# (create/step/evict/revive/follow/delete under concurrent scrapes) —
-# un-shortened under the race detector.
+# race-concurrent runs every parallel engine path — the shard-parallel
+# round engine (including the root package's n=10k all-algorithms/
+# all-adversaries workload), the sequential-vs-sharded identity tests
+# (mtm, core's SharedBit and CrowdedBin, the adversary schedules, the
+# trace layer that taps the protocol, and leader's goroutine-leak check;
+# each sized so rounds reach the parallel exchange phase), the profiling
+# read side (live /metrics scrapes and histogram reads against a profiled
+# parallel session), the event bus and sinks, and the daemon's
+# full-service traffic mix (create/step/evict/revive/follow/delete under
+# concurrent scrapes) — un-shortened under the race detector.
 race-concurrent:
 	$(GO) test -race -count=1 -run 'Concurrent|Backends|Sharded|EngineWorkers|Bus|Sink|Collector' \
-		. ./internal/mtm ./internal/adversary ./internal/trace ./internal/leader ./internal/events ./internal/profile \
+		. ./internal/mtm ./internal/core ./internal/adversary ./internal/trace ./internal/leader ./internal/events ./internal/profile \
 		./internal/daemon
 
 # cover enforces the ratcheted coverage floor (COVER_MIN, measured at merge

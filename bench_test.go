@@ -243,15 +243,13 @@ func BenchmarkEngineRound(b *testing.B) {
 	cases := []struct {
 		name string
 		n, k int
-		conc bool
 	}{
 		// k = n at the small size: gossip needs Θ(kn) rounds, so the run
 		// cannot solve inside any realistic -benchtime window and every op
 		// stays a real round (guarded below).
-		{"seq_n256_k256", 256, 256, false},
-		{"seq_n4096_k64", 4096, 64, false},
-		{"seq_n10000_k64", 10000, 64, false},
-		{"conc_n10000_k64", 10000, 64, true},
+		{"seq_n256_k256", 256, 256},
+		{"seq_n4096_k64", 4096, 64},
+		{"seq_n10000_k64", 10000, 64},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -263,7 +261,7 @@ func BenchmarkEngineRound(b *testing.B) {
 			proto := core.NewSharedBit(st, prand.NewSharedString(99))
 			g := graph.RandomRegular(tc.n, 4, prand.New(7))
 			eng := mtm.NewEngine(dyngraph.NewStatic(g), proto, mtm.Config{
-				Seed: 3, MaxRounds: b.N, Concurrent: tc.conc,
+				Seed: 3, MaxRounds: b.N,
 			})
 			b.ResetTimer()
 			res, err := eng.Run()

@@ -19,9 +19,8 @@ import (
 // run configuration, then one section per state-carrying layer (engine
 // meters + per-node RNG streams, token arena, protocol extras, mobility
 // trajectory). Everything a deterministic execution depends on is either
-// serialized or reconstructed from the serialized Config — observers and
-// the legacy OnRound/TraceWriter hooks are process-local and must be
-// re-attached after Resume.
+// serialized or reconstructed from the serialized Config — observers are
+// process-local and must be re-attached after Resume.
 //
 // Version policy (DESIGN.md §9): the version is bumped on any layout
 // change; Resume rejects versions it does not know rather than guessing.
@@ -31,11 +30,13 @@ const (
 	// and the only version it resumes. Version 2 added the adversary
 	// topology knobs to the config block and generalized the topology
 	// section's mobility flag into a schedule-kind tag; version 3 added the
-	// Topology.Relabel knob. Config.EngineWorkers is deliberately NOT in
-	// the stream: worker count affects wall-clock only, so sequential and
-	// parallel runs write interchangeable, byte-identical checkpoints and a
-	// resumed session re-resolves its own worker count.
-	CheckpointVersion = 3
+	// Topology.Relabel knob; version 4 dropped the removed Concurrent
+	// backend flag, so no engine backend knob remains in the stream.
+	// Config.EngineWorkers is deliberately NOT in the stream: worker count
+	// affects wall-clock only, so sequential and parallel runs write
+	// interchangeable, byte-identical checkpoints and a resumed session
+	// re-resolves its own worker count.
+	CheckpointVersion = 4
 )
 
 // Topology-section schedule-kind tags: which dynamic-schedule state (if
@@ -181,8 +182,8 @@ func ResumeFile(path string) (*Simulation, error) {
 
 // Resume deserializes a Checkpoint stream into a live simulation
 // positioned at the checkpointed round boundary. The configuration is read
-// from the stream; observers (and the legacy OnRound/TraceWriter hooks,
-// which cannot be serialized) must be re-attached with Observe.
+// from the stream; observers, which cannot be serialized, must be
+// re-attached with Observe.
 //
 // A resumed simulation continues byte-identically to the run that wrote
 // the checkpoint: same rounds, same meters, same final Result.
@@ -293,7 +294,6 @@ func writeConfig(w *ckpt.Writer, cfg Config) {
 	w.Int(cfg.TagBits)
 	w.U64(cfg.Seed)
 	w.Int(cfg.MaxRounds)
-	w.Bool(cfg.Concurrent)
 	w.F64(cfg.TransferEps)
 	w.Int(cfg.CrowdedBin.Beta)
 	w.Int(cfg.CrowdedBin.Gamma)
@@ -339,7 +339,6 @@ func readConfig(r *ckpt.Reader) (Config, error) {
 	cfg.TagBits = r.Int()
 	cfg.Seed = r.U64()
 	cfg.MaxRounds = r.Int()
-	cfg.Concurrent = r.Bool()
 	cfg.TransferEps = r.F64()
 	cfg.CrowdedBin.Beta = r.Int()
 	cfg.CrowdedBin.Gamma = r.Int()

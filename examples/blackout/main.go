@@ -65,11 +65,7 @@ func main() {
 	blackoutAt := want.Rounds / 3
 	ctx, cancel := context.WithCancel(context.Background())
 	cfgWatch := cfg
-	cfgWatch.OnRound = func(r, _ int) {
-		if r == blackoutAt {
-			cancel()
-		}
-	}
+	cfgWatch.Observers = []mobilegossip.Observer{blackout{at: blackoutAt, cancel: cancel}}
 	sim, err := mobilegossip.New(cfgWatch)
 	if err != nil {
 		log.Fatal(err)
@@ -112,4 +108,19 @@ func main() {
 	}
 	fmt.Println("\nresumed results are byte-identical to the uninterrupted run —")
 	fmt.Println("rounds, connections, control bits, token movements, edge churn: all equal.")
+}
+
+// blackout is an observer that pulls the plug once round `at` completes;
+// Run notices the canceled context at the next round boundary.
+type blackout struct {
+	mobilegossip.NopObserver
+	at     int
+	cancel context.CancelFunc
+}
+
+// EndRound implements mobilegossip.Observer.
+func (b blackout) EndRound(stats mobilegossip.RoundStats) {
+	if stats.Round == b.at {
+		b.cancel()
+	}
 }

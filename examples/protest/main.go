@@ -10,10 +10,10 @@
 //
 // The example:
 //  1. inspects the topology (Δ, D, α — the parameters in every bound);
-//  2. runs BlindMatch (b = 0) and SharedBit (b = 1) with a JSONL trace;
-//  3. summarizes each trace to show *why* b = 1 wins: the proposal
-//     acceptance rate collapses for blind proposals aimed at hubs, while
-//     tag-steered proposals stay productive.
+//  2. runs BlindMatch (b = 0) and SharedBit (b = 1);
+//  3. compares their proposal and connection meters to show *why* b = 1
+//     wins: the proposal acceptance rate collapses for blind proposals
+//     aimed at hubs, while tag-steered proposals stay productive.
 //
 // Run with:
 //
@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -29,7 +28,6 @@ import (
 	"text/tabwriter"
 
 	"mobilegossip"
-	"mobilegossip/internal/trace"
 )
 
 func main() {
@@ -58,14 +56,12 @@ func main() {
 		mobilegossip.AlgBlindMatch,
 		mobilegossip.AlgSharedBit,
 	} {
-		var buf bytes.Buffer
 		res, err := mobilegossip.Run(mobilegossip.Config{
-			Algorithm:   alg,
-			N:           crowd,
-			K:           posts,
-			Topology:    topo,
-			Seed:        seed,
-			TraceWriter: &buf,
+			Algorithm: alg,
+			N:         crowd,
+			K:         posts,
+			Topology:  topo,
+			Seed:      seed,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -73,12 +69,12 @@ func main() {
 		if !res.Solved {
 			log.Fatalf("%v did not finish", alg)
 		}
-		sum, err := trace.ReadSummary(&buf)
-		if err != nil {
-			log.Fatal(err)
+		accepted := 0.0
+		if res.Proposals > 0 {
+			accepted = float64(res.Connections) / float64(res.Proposals)
 		}
 		fmt.Fprintf(tw, "%v\t%d\t%d\t%d\t%.1f%%\n",
-			alg, res.Rounds, sum.Proposals, sum.Connections, 100*sum.AcceptanceRate())
+			alg, res.Rounds, res.Proposals, res.Connections, 100*accepted)
 	}
 	if err := tw.Flush(); err != nil {
 		log.Fatal(err)

@@ -2,13 +2,14 @@ package mobilegossip
 
 // Tests for the facade-level extension features: multi-bit tags (TagBits),
 // ε-gossip via SimSharedBit (Corollary 7.5), and execution tracing
-// (TraceWriter).
+// (TraceObserver).
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -111,18 +112,24 @@ func TestRunEpsilonStillRejectsOtherAlgorithms(t *testing.T) {
 	}
 }
 
-func TestRunTraceWriterEmitsParsableEvents(t *testing.T) {
+// TestTraceObserverEmitsParsableEvents: every trace line parses as a
+// propose or connect event, and the counts agree with the run's meters.
+func TestTraceObserverEmitsParsableEvents(t *testing.T) {
 	var buf bytes.Buffer
+	to := NewTraceObserver(&buf)
 	res, err := Run(Config{
 		Algorithm: AlgSharedBit, N: 16, K: 4,
 		Topology: Topology{Kind: RandomRegular, Degree: 4}, Tau: 1, Seed: 2,
-		TraceWriter: &buf,
+		Observers: []Observer{to},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Solved {
 		t.Fatal("unsolved")
+	}
+	if to.Err() != nil {
+		t.Fatal(to.Err())
 	}
 
 	var proposals, connects int64
@@ -166,14 +173,20 @@ func (w *failWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func TestRunTraceWriterErrorSurfaces(t *testing.T) {
-	_, err := Run(Config{
+// TestTraceObserverErrSurfacesWriteError: a failing trace sink does not
+// fail the simulation; TraceObserver.Err reports the write error.
+func TestTraceObserverErrSurfacesWriteError(t *testing.T) {
+	to := NewTraceObserver(&failWriter{})
+	res, err := Run(Config{
 		Algorithm: AlgSharedBit, N: 16, K: 4,
 		Topology: Topology{Kind: RandomRegular, Degree: 4}, Tau: 1, Seed: 2,
-		TraceWriter: &failWriter{},
+		Observers: []Observer{to},
 	})
-	if err == nil {
-		t.Fatal("expected the trace write failure to surface from Run")
+	if err != nil || !res.Solved {
+		t.Fatalf("run: %+v, %v", res, err)
+	}
+	if err := to.Err(); err == nil || !strings.Contains(err.Error(), "trace sink failed") {
+		t.Fatalf("TraceObserver.Err() = %v, want the sink's write error", err)
 	}
 }
 
@@ -187,7 +200,7 @@ func TestRunTraceDoesNotPerturbExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TraceWriter = &bytes.Buffer{}
+	cfg.Observers = []Observer{NewTraceObserver(&bytes.Buffer{})}
 	traced, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

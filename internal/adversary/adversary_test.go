@@ -319,7 +319,7 @@ func TestRestoreRejectsCorruptEdgeList(t *testing.T) {
 }
 
 // randProto is a minimal protocol (propose to a uniform neighbor with
-// probability 1/2) exercising the engine's concurrent backend over an
+// probability 1/2) exercising the engine's shard-parallel backend over an
 // adversarial schedule; the -race CI job runs this test with the race
 // detector on.
 type randProto struct{}
@@ -337,26 +337,35 @@ func (p *randProto) Decide(_ int, _ mtm.NodeID, view []mtm.Neighbor, rng *prand.
 	return mtm.Propose(view[rng.Intn(len(view))].ID)
 }
 
-// TestConcurrentEngineOverAdversary drives the goroutine-per-connection
-// backend over an adaptive adversarial schedule and requires the meters to
-// match the sequential backend exactly (the package's determinism contract
-// under concurrency).
+// TestConcurrentEngineOverAdversary drives the shard-parallel backend over
+// an adaptive adversarial schedule and requires the meters to match the
+// sequential engine exactly (the package's determinism contract under
+// concurrency). n is sized so rounds carry at least 64 connections
+// (mtm's shardMinConns), putting the exchange phase on its parallel path.
 func TestConcurrentEngineOverAdversary(t *testing.T) {
-	run := func(concurrent bool) mtm.Result {
-		adv := New(mobileBase(40, 1, 77), CutRich(), Options{Tau: 1, Seed: 79, Budget: 10})
+	const n = 320
+	run := func(workers int) (mtm.Result, int) {
+		adv := New(mobileBase(n, 1, 77), CutRich(), Options{Tau: 1, Seed: 79, Budget: 10})
 		adv.Bind(fakeReader{shift: 2})
 		eng := mtm.NewEngine(adv, &randProto{}, mtm.Config{
-			Seed: 81, MaxRounds: 40, Concurrent: concurrent,
+			Seed: 81, MaxRounds: 40, Workers: workers,
 		})
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
+		maxConns := 0
+		for !eng.Finished() {
+			rs, err := eng.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxConns = max(maxConns, rs.Connections)
 		}
-		return res
+		return eng.Result(), maxConns
 	}
-	seq, conc := run(false), run(true)
-	if seq != conc {
-		t.Fatalf("concurrent backend diverged over adversary:\n seq  %+v\n conc %+v", seq, conc)
+	seq, maxConns := run(1)
+	if maxConns < 64 {
+		t.Fatalf("busiest round had %d connections; the exchange phase never ran in parallel", maxConns)
+	}
+	if par, _ := run(2); seq != par {
+		t.Fatalf("sharded backend diverged over adversary:\n seq %+v\n w2  %+v", seq, par)
 	}
 }
 

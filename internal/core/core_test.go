@@ -310,25 +310,65 @@ func TestEpsilonGossipSolvesEarlierThanFull(t *testing.T) {
 	}
 }
 
+// backendRun is one engine run's observable outcome.
+type backendRun struct {
+	res      mtm.Result
+	phi      int // final potential
+	maxConns int // the busiest round's connection count
+}
+
+// shardParallelConns mirrors mtm's shardMinConns: the sharded engine runs
+// a round's exchange phase in parallel only from this many connections on.
+const shardParallelConns = 64
+
+// runOnBackend drives p over dyn with the given shard worker count (1 is
+// the sequential reference engine), stepping so the busiest round shows.
+func runOnBackend(t *testing.T, dyn dyngraph.Dynamic, p mtm.Protocol, st *State, seed uint64, workers int) backendRun {
+	t.Helper()
+	e := mtm.NewEngine(dyn, p, mtm.Config{Seed: seed, MaxRounds: 1 << 20, Workers: workers})
+	var out backendRun
+	for !e.Finished() {
+		rs, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.maxConns = max(out.maxConns, rs.Connections)
+	}
+	if !e.Result().Completed || e.OverBudget() {
+		t.Fatalf("workers=%d: completed=%v overBudget=%v after %d rounds",
+			workers, e.Result().Completed, e.OverBudget(), e.Round())
+	}
+	out.res, out.phi = e.Result(), st.Potential()
+	return out
+}
+
+// checkBackendsAgree runs the sequential engine against the sharded engine
+// at 2 and 3 workers. The run must reach shardParallelConns connections in
+// some round, so the race detector sees protocols' Exchange run in
+// parallel too (make race-concurrent).
+func checkBackendsAgree(t *testing.T, run func(workers int) backendRun) {
+	t.Helper()
+	seq := run(1)
+	if seq.maxConns < shardParallelConns {
+		t.Fatalf("busiest round had %d connections, below %d", seq.maxConns, shardParallelConns)
+	}
+	for _, w := range []int{2, 3} {
+		if par := run(w); par != seq {
+			t.Fatalf("backends diverged:\n  seq:        %+v\n  workers=%d: %+v", seq, w, par)
+		}
+	}
+}
+
 func TestGossipDeterministicAcrossBackends(t *testing.T) {
-	run := func(concurrent bool) (mtm.Result, int) {
-		st, err := NewState(14, OneTokenPerNode(14, 3), 1e-4)
+	const n, k = 256, 16
+	checkBackendsAgree(t, func(workers int) backendRun {
+		st, err := NewState(n, OneTokenPerNode(n, k), 1e-4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := NewSharedBit(st, prand.NewSharedString(4))
-		res, err := mtm.NewEngine(dyngraph.RotatingRing(14, 2, 6), p,
-			mtm.Config{Seed: 13, MaxRounds: 1 << 20, Concurrent: concurrent}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, st.Potential()
-	}
-	seqRes, seqPhi := run(false)
-	parRes, parPhi := run(true)
-	if seqRes != parRes || seqPhi != parPhi {
-		t.Fatalf("backends diverged: %+v/%d vs %+v/%d", seqRes, seqPhi, parRes, parPhi)
-	}
+		return runOnBackend(t, dyngraph.RotatingRegular(n, 4, 2, 6), p, st, 13, workers)
+	})
 }
 
 func TestGossipStaysWithinBudget(t *testing.T) {

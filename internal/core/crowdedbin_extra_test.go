@@ -94,26 +94,14 @@ func TestCrowdedBinStaysWithinBudget(t *testing.T) {
 }
 
 func TestCrowdedBinDeterministicAcrossBackends(t *testing.T) {
-	const n, k = 16, 4
-	run := func(concurrent bool) mtm.Result {
+	const n, k = 300, 1
+	g := graph.RandomRegular(n, 4, prand.New(6))
+	checkBackendsAgree(t, func(workers int) backendRun {
 		st := mustState(t, n, OneTokenPerNode(n, k))
 		cb, err := NewCrowdedBin(st, CrowdedBinConfig{}, prand.New(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := graph.RandomRegular(n, 4, prand.New(6))
-		res, err := mtm.NewEngine(dyngraph.NewStatic(g), cb, mtm.Config{
-			Seed: 13, Concurrent: concurrent,
-		}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Completed {
-			t.Fatalf("unsolved after %d rounds (concurrent=%v)", res.Rounds, concurrent)
-		}
-		return res
-	}
-	if seq, conc := run(false), run(true); seq != conc {
-		t.Errorf("backends diverged:\n  seq:  %+v\n  conc: %+v", seq, conc)
-	}
+		return runOnBackend(t, dyngraph.NewStatic(g), cb, st, 13, workers)
+	})
 }

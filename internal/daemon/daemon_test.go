@@ -515,6 +515,37 @@ func TestDaemonHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsRemovedConcurrentField: the engine backend flag
+// "concurrent" is gone from the wire format, so a request still carrying
+// it is a 400 that names the field rather than a silently different run.
+func TestCreateRejectsRemovedConcurrentField(t *testing.T) {
+	d, err := New(Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		d.Close()
+	})
+	body := `{"algorithm":"sharedbit","n":64,"k":8,"seed":1,"topology":{"kind":"regular","degree":4},"concurrent":true}`
+	resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	msg, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400 (%s)", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), `unknown field \"concurrent\"`) {
+		t.Fatalf("error body %s does not name the unknown field", msg)
+	}
+}
+
 func TestParseEventsQuery(t *testing.T) {
 	f, follow, err := parseEventsQuery("filter=round_completed,session_end&minround=2&maxround=9&follow=1")
 	if err != nil {

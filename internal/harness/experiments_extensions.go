@@ -22,7 +22,7 @@ import (
 func init() {
 	register(Experiment{ID: "E15", Title: "Tag-length ablation: b = 0,1,2,4,8", Exhibit: "§1 remark: b>1 buys at most log factors", Run: runE15})
 	register(Experiment{ID: "E16", Title: "Stability sweep: SimSharedBit vs τ on the double-star", Exhibit: "Thm 5.6 Δ^{1/τ} term", Run: runE16})
-	register(Experiment{ID: "E17", Title: "Engine backend ablation: sequential vs concurrent", Exhibit: "model engine (DESIGN.md §5)", Run: runE17})
+	register(Experiment{ID: "E17", Title: "Engine backend ablation: sequential vs sharded (EngineWorkers: 2)", Exhibit: "model engine (DESIGN.md §5)", Run: runE17})
 	register(Experiment{ID: "E18", Title: "Gradual churn sweep: SharedBit vs rewire fraction", Exhibit: "§2 dynamic graphs between τ=∞ and adversarial τ=1", Run: runE18})
 }
 
@@ -128,11 +128,11 @@ func runE16(o Options) (*Table, error) {
 	return t, nil
 }
 
-// runE17: the sequential and goroutine-per-connection backends must
-// produce identical executions (connections form a matching, so endpoint
-// states are disjoint and the concurrent backend is race-free by
-// construction); this experiment verifies equality end-to-end and records
-// the relative wall-clock cost.
+// runE17: the sequential engine and the shard-parallel engine at
+// EngineWorkers: 2 must produce identical executions (connections form a
+// matching and every cell is written by exactly one shard, so the sharded
+// backend is race-free and deterministic by construction); this experiment
+// verifies equality end-to-end and records the relative wall-clock cost.
 func runE17(o Options) (*Table, error) {
 	n, k := 128, 16
 	if o.Quick {
@@ -142,14 +142,14 @@ func runE17(o Options) (*Table, error) {
 		ID: "E17",
 		Caption: fmt.Sprintf(
 			"Engine backends on SharedBit (n=%d, k=%d, τ=1 rotating 4-regular)", n, k),
-		Columns: []string{"seed", "rounds (seq)", "rounds (conc)", "identical", "seq ms", "conc ms"},
+		Columns: []string{"seed", "rounds (seq)", "rounds (w2)", "identical", "seq ms", "w2 ms"},
 	}
 	type backendRow struct {
-		seed          uint64
-		seq, conc     mobilegossip.Result
-		seqMS, concMS time.Duration
+		seed         uint64
+		seq, par     mobilegossip.Result
+		seqMS, parMS time.Duration
 	}
-	// The whole point of E17 is the seq-vs-conc wall-clock comparison, so
+	// The whole point of E17 is the seq-vs-sharded wall-clock comparison, so
 	// the timed pairs must not contend with each other: force one worker.
 	rcfg := runnerCfg(o)
 	rcfg.Workers = 1
@@ -160,8 +160,9 @@ func runE17(o Options) (*Table, error) {
 			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
 			Tau:      1, Seed: seed,
 		}
-		seqCfg, concCfg := base, base
-		concCfg.Concurrent = true
+		seqCfg, parCfg := base, base
+		seqCfg.EngineWorkers = 1
+		parCfg.EngineWorkers = 2
 
 		t0 := time.Now()
 		seq, err := mobilegossip.Run(seqCfg)
@@ -171,28 +172,28 @@ func runE17(o Options) (*Table, error) {
 		seqMS := time.Since(t0)
 
 		t1 := time.Now()
-		conc, err := mobilegossip.Run(concCfg)
+		par, err := mobilegossip.Run(parCfg)
 		if err != nil {
 			return backendRow{}, err
 		}
-		concMS := time.Since(t1)
+		parMS := time.Since(t1)
 
-		identical := seq.Rounds == conc.Rounds &&
-			seq.Connections == conc.Connections &&
-			seq.TokensMoved == conc.TokensMoved
+		identical := seq.Rounds == par.Rounds &&
+			seq.Connections == par.Connections &&
+			seq.TokensMoved == par.TokensMoved
 		if !identical {
-			return backendRow{}, fmt.Errorf("harness: backends diverged at seed %d: %+v vs %+v", seed, seq, conc)
+			return backendRow{}, fmt.Errorf("harness: backends diverged at seed %d: %+v vs %+v", seed, seq, par)
 		}
-		return backendRow{seed, seq, conc, seqMS, concMS}, nil
+		return backendRow{seed, seq, par, seqMS, parMS}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
-			fmtF(float64(r.seed)), fmtF(float64(r.seq.Rounds)), fmtF(float64(r.conc.Rounds)),
+			fmtF(float64(r.seed)), fmtF(float64(r.seq.Rounds)), fmtF(float64(r.par.Rounds)),
 			"yes",
-			fmtF(float64(r.seqMS.Milliseconds())), fmtF(float64(r.concMS.Milliseconds())),
+			fmtF(float64(r.seqMS.Milliseconds())), fmtF(float64(r.parMS.Milliseconds())),
 		})
 	}
 	t.Notes = append(t.Notes,

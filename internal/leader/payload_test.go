@@ -79,10 +79,11 @@ func TestPayloadQuickManySeeds(t *testing.T) {
 	}
 }
 
-// TestConcurrentEngineLeavesNoGoroutines: the concurrent backend must join
-// all its workers before Run returns.
+// TestConcurrentEngineLeavesNoGoroutines: the shard-parallel engine must
+// join all its shard goroutines before Run returns. n is sized so rounds
+// reach mtm's shardMinConns and the exchange phase fans out as well.
 func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
-	const n = 24
+	const n = 256
 	before := runtime.NumGoroutine()
 	for seed := uint64(1); seed <= 8; seed++ {
 		ids := make([]int, n)
@@ -91,7 +92,7 @@ func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
 		}
 		p := New(ids, make([]uint64, n))
 		dyn := dyngraph.NewStatic(graph.RandomRegular(n, 4, prand.New(seed)))
-		if _, err := mtm.NewEngine(dyn, p, mtm.Config{Seed: seed, Concurrent: true}).Run(); err != nil {
+		if _, err := mtm.NewEngine(dyn, p, mtm.Config{Seed: seed, Workers: 3}).Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +104,7 @@ func TestConcurrentEngineLeavesNoGoroutines(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d after concurrent runs", before, after)
+			t.Fatalf("goroutines grew from %d to %d after sharded runs", before, after)
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)

@@ -11,10 +11,10 @@
 // The Engine enforces every model constraint: one proposal per node,
 // proposer-cannot-receive, uniform acceptance, matching-only connections,
 // per-connection communication budgets, and the τ-stability of the topology
-// schedule. Three interchangeable backends (sequential, concurrent
-// goroutine-per-connection, and shard-parallel — see shard.go) produce
-// bit-identical executions because all randomness is drawn from per-node
-// streams and per-round connections are vertex-disjoint.
+// schedule. Two interchangeable backends — the sequential reference round
+// loop and the shard-parallel engine (see shard.go) — produce bit-identical
+// executions because all randomness is drawn from per-node streams and
+// per-round connections are vertex-disjoint.
 package mtm
 
 import (
@@ -53,7 +53,7 @@ func Propose(target NodeID) Action { return Action{Propose: true, Target: target
 
 // Protocol is a distributed algorithm in the mobile telephone model. A
 // Protocol owns the state of all nodes; the engine calls its methods with
-// explicit node ids. Contract required for the concurrent backend (and
+// explicit node ids. Contract required for the shard-parallel backend (and
 // checked by this package's determinism tests): Tag and Decide for node u
 // read/write only u's state; Exchange reads/writes only the two endpoint
 // states of its connection.
@@ -135,16 +135,13 @@ type Config struct {
 	Seed uint64
 	// MaxRounds aborts the run if the protocol is not Done by then.
 	MaxRounds int
-	// Concurrent selects the goroutine-per-connection backend.
-	Concurrent bool
 	// Workers selects the shard-parallel backend: the node range is split
 	// into Workers contiguous degree-balanced shards and every round phase
 	// (tag, decide, deliver, accept, exchange) runs shard-parallel with a
 	// deterministic cross-shard reduction, producing executions
 	// byte-identical to the sequential engine at any worker count or
 	// GOMAXPROCS (see DESIGN.md §11). Workers ≤ 1 keeps the sequential
-	// round loop (and its 0 allocs/op steady state); Workers ≥ 2
-	// supersedes Concurrent.
+	// round loop (and its 0 allocs/op steady state).
 	Workers int
 	// BitLimit overrides the per-connection control-bit budget
 	// (default 64·(⌈log₂ N⌉+1)³, a generous polylog(N)).
@@ -224,7 +221,7 @@ type Engine struct {
 	pairs   [][2]int32
 	conns   []Conn
 	view    []Neighbor   // sequential-backend scan view
-	views   [][]Neighbor // concurrent/sharded per-worker scan views
+	views   [][]Neighbor // sharded per-shard scan views
 
 	// Sharded-backend state (see shard.go).
 	workers    int          // resolved shard count (1 = sequential)
@@ -459,12 +456,9 @@ func (e *Engine) Step() (RoundStats, error) {
 	}
 
 	// Scan + decide.
-	switch {
-	case cuts != nil:
+	if cuts != nil {
 		e.decideSharded(r, g, tags, acts, cuts)
-	case e.cfg.Concurrent:
-		e.decideConcurrent(r, g, tags, acts)
-	default:
+	} else {
 		view := e.view
 		for u := 0; u < n; u++ {
 			view = view[:0]
@@ -553,12 +547,9 @@ func (e *Engine) Step() (RoundStats, error) {
 		})
 	}
 	e.conns = conns[:0] // keep any growth for the next round
-	switch {
-	case cuts != nil:
+	if cuts != nil {
 		e.exchangeSharded(r, conns, len(cuts)-1)
-	case e.cfg.Concurrent:
-		e.exchangeConcurrent(r, conns)
-	default:
+	} else {
 		for i := range conns {
 			e.proto.Exchange(r, &conns[i])
 		}

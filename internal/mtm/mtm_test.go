@@ -118,19 +118,33 @@ func TestRunSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestBackendsIdentical: the sequential reference engine and the sharded
+// engine produce identical executions. n is sized so rounds carry more
+// than shardMinConns connections, putting the exchange phase on its
+// parallel path too — make race-concurrent races it.
 func TestBackendsIdentical(t *testing.T) {
-	run := func(concurrent bool) Result {
-		dyn := dyngraph.RotatingRegular(18, 3, 2, 7)
-		p := newMinSpread(18)
-		res, err := NewEngine(dyn, p, Config{Seed: 11, MaxRounds: 50000, Concurrent: concurrent}).Run()
-		if err != nil {
-			t.Fatal(err)
+	const n = 512
+	run := func(workers int) (Result, int) {
+		e := NewEngine(dyngraph.RotatingRegular(n, 3, 2, 7), newMinSpread(n),
+			Config{Seed: 11, MaxRounds: 50000, Workers: workers})
+		maxConns := 0
+		for !e.Finished() {
+			st, err := e.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			maxConns = max(maxConns, st.Connections)
 		}
-		return res
+		return e.Result(), maxConns
 	}
-	seq, par := run(false), run(true)
-	if seq != par {
-		t.Fatalf("sequential %+v != concurrent %+v", seq, par)
+	seq, maxConns := run(1)
+	if maxConns < shardMinConns {
+		t.Fatalf("busiest round had %d connections, below shardMinConns=%d", maxConns, shardMinConns)
+	}
+	for _, w := range []int{2, 3} {
+		if par, _ := run(w); par != seq {
+			t.Fatalf("sequential %+v != workers=%d %+v", seq, w, par)
+		}
 	}
 }
 

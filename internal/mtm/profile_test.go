@@ -21,7 +21,7 @@ func runProfiled(t *testing.T, mkDyn func() dyngraph.Dynamic, n int, cfg Config,
 	roundStart := 0
 	cfg.OnRound = func(int) {
 		seg := append([][2]int(nil), p.sawConnections[roundStart:]...)
-		// Concurrent exchange records pairs in scheduling order;
+		// Sharded exchange records pairs in scheduling order;
 		// canonicalize by responder like runSharded does.
 		sort.Slice(seg, func(i, j int) bool { return seg[i][1] < seg[j][1] })
 		out.rounds = append(out.rounds, seg)

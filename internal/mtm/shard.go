@@ -94,8 +94,13 @@ func (e *Engine) ensureShardScratch(w int) {
 
 // runShards runs fn(s, lo, hi) for every non-empty shard [cuts[s], cuts[s+1])
 // concurrently and waits for all of them (the phase barrier). The last
-// non-empty shard runs on the calling goroutine.
-func runShards(cuts []int32, fn func(s, lo, hi int)) {
+// non-empty shard runs on the calling goroutine. With a recorder attached
+// it also accumulates each shard's compute time into profShardNs (each
+// shard writes only its own slot, like shardErrs) and the phase's wall
+// time into profParNs. The clock reads sit inline rather than in a
+// wrapping timing closure, so profiling adds no allocations beyond the
+// goroutine launches (DESIGN.md §13).
+func (e *Engine) runShards(cuts []int32, fn func(s, lo, hi int)) {
 	last := -1
 	for s := 0; s+1 < len(cuts); s++ {
 		if cuts[s] < cuts[s+1] {
@@ -104,6 +109,10 @@ func runShards(cuts []int32, fn func(s, lo, hi int)) {
 	}
 	if last < 0 {
 		return
+	}
+	var t0 time.Time
+	if e.prof != nil {
+		t0 = time.Now()
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < last; s++ {
@@ -114,54 +123,28 @@ func runShards(cuts []int32, fn func(s, lo, hi int)) {
 		wg.Add(1)
 		go func(s, lo, hi int) {
 			defer wg.Done()
+			var ts time.Time
+			if e.prof != nil {
+				ts = time.Now()
+			}
 			fn(s, lo, hi)
+			if e.prof != nil {
+				e.profShardNs[s] += time.Since(ts).Nanoseconds()
+			}
 		}(s, lo, hi)
 	}
+	var ts time.Time
+	if e.prof != nil {
+		ts = time.Now()
+	}
 	fn(last, int(cuts[last]), int(cuts[last+1]))
+	if e.prof != nil {
+		e.profShardNs[last] += time.Since(ts).Nanoseconds()
+	}
 	wg.Wait()
-}
-
-// runShardsTimed is runShards plus the profiling sidecar: with a recorder
-// attached it accumulates each shard's compute time into profShardNs
-// (each shard writes only its own slot, like shardErrs) and the phase's
-// wall time into profParNs; without one it is exactly runShards. The
-// fan-out loop is duplicated rather than wrapped in a timing closure so
-// profiling adds clock reads but no allocations beyond runShards' own
-// goroutine launches.
-func (e *Engine) runShardsTimed(cuts []int32, fn func(s, lo, hi int)) {
-	if e.prof == nil {
-		runShards(cuts, fn)
-		return
+	if e.prof != nil {
+		e.profParNs += time.Since(t0).Nanoseconds()
 	}
-	t0 := time.Now()
-	last := -1
-	for s := 0; s+1 < len(cuts); s++ {
-		if cuts[s] < cuts[s+1] {
-			last = s
-		}
-	}
-	if last < 0 {
-		return
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < last; s++ {
-		lo, hi := int(cuts[s]), int(cuts[s+1])
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			ts := time.Now()
-			fn(s, lo, hi)
-			e.profShardNs[s] += time.Since(ts).Nanoseconds()
-		}(s, lo, hi)
-	}
-	ts := time.Now()
-	fn(last, int(cuts[last]), int(cuts[last+1]))
-	e.profShardNs[last] += time.Since(ts).Nanoseconds()
-	wg.Wait()
-	e.profParNs += time.Since(t0).Nanoseconds()
 }
 
 // tagSharded runs the advertise phase shard-parallel. Each shard records its
@@ -174,7 +157,7 @@ func (e *Engine) tagSharded(r int, cuts []int32) error {
 	for s := 0; s < w; s++ {
 		e.shardErrs[s] = nil
 	}
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
+	e.runShards(cuts, func(s, lo, hi int) {
 		for u := lo; u < hi; u++ {
 			e.tags[u] = e.proto.Tag(r, u)
 			if e.tags[u]&^e.tagMask != 0 && e.shardErrs[s] == nil {
@@ -196,7 +179,7 @@ func (e *Engine) tagSharded(r int, cuts []int32) error {
 // the complete tag array written before the phase barrier, builds views in
 // its own persistent buffer, and draws only from its own nodes' streams.
 func (e *Engine) decideSharded(r int, g *graph.Graph, tags []uint64, acts []Action, cuts []int32) {
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
+	e.runShards(cuts, func(s, lo, hi int) {
 		view := e.views[s]
 		for u := lo; u < hi; u++ {
 			view = view[:0]
@@ -224,7 +207,7 @@ func (e *Engine) deliverSharded(g *graph.Graph, acts []Action, cuts []int32, sta
 		e.shardProps[s] = 0
 		e.shardBase[s+1] = 0
 	}
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
+	e.runShards(cuts, func(s, lo, hi int) {
 		props := int64(0)
 		for u := lo; u < hi; u++ {
 			e.targets[u] = -1
@@ -254,7 +237,7 @@ func (e *Engine) deliverSharded(g *graph.Graph, acts []Action, cuts []int32, sta
 		e.profRedNs += time.Since(tRed).Nanoseconds()
 	}
 
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
+	e.runShards(cuts, func(s, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			e.inCnt[v] = 0
 		}
@@ -295,7 +278,7 @@ func (e *Engine) acceptSharded(cuts []int32) [][2]int32 {
 	for s := 0; s < w; s++ {
 		e.shardPairs[s] = e.shardPairs[s][:0]
 	}
-	e.runShardsTimed(cuts, func(s, lo, hi int) {
+	e.runShards(cuts, func(s, lo, hi int) {
 		off := e.shardBase[s]
 		for v := lo; v < hi; v++ {
 			e.inOff[v] = off

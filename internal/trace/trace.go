@@ -32,7 +32,8 @@ type Event struct {
 }
 
 // Recorder sinks events to an io.Writer as JSON lines. It is safe for the
-// concurrent engine backend (Exchange may run from multiple goroutines).
+// shard-parallel engine backend (Decide and Exchange may run from multiple
+// goroutines).
 type Recorder struct {
 	mu     sync.Mutex
 	enc    *json.Encoder

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"maps"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -15,11 +18,13 @@ import (
 	"mobilegossip/internal/prand"
 )
 
-// runTraced executes a small SharedBit gossip with tracing and returns the
-// engine result plus parsed events.
-func runTraced(t *testing.T, concurrent bool) (mtm.Result, []Event, *Recorder) {
+// runTraced executes a SharedBit gossip with tracing on the given number
+// of engine shard workers (1 = sequential) and returns the engine result
+// plus parsed events. n is sized so rounds carry enough connections for
+// the sharded engine's exchange phase to run in parallel.
+func runTraced(t *testing.T, workers int) (mtm.Result, []Event, *Recorder) {
 	t.Helper()
-	const n, k = 16, 4
+	const n, k = 256, 16
 	st, err := core.NewState(n, core.OneTokenPerNode(n, k), 1e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -27,9 +32,8 @@ func runTraced(t *testing.T, concurrent bool) (mtm.Result, []Event, *Recorder) {
 	proto := core.NewSharedBit(st, prand.NewSharedString(5))
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
-	g := graph.RandomRegular(n, 4, prand.New(3))
-	res, err := mtm.NewEngine(dyngraph.NewStatic(g), Wrap(proto, rec), mtm.Config{
-		Seed: 8, Concurrent: concurrent,
+	res, err := mtm.NewEngine(dyngraph.RotatingRegular(n, 4, 2, 3), Wrap(proto, rec), mtm.Config{
+		Seed: 8, Workers: workers,
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +55,7 @@ func runTraced(t *testing.T, concurrent bool) (mtm.Result, []Event, *Recorder) {
 }
 
 func TestRecorderCountsMatchEngineTotals(t *testing.T) {
-	res, events, rec := runTraced(t, false)
+	res, events, rec := runTraced(t, 1)
 	if !res.Completed {
 		t.Fatal("gossip unsolved")
 	}
@@ -81,7 +85,7 @@ func TestRecorderCountsMatchEngineTotals(t *testing.T) {
 }
 
 func TestEventsWellFormed(t *testing.T) {
-	res, events, _ := runTraced(t, false)
+	res, events, _ := runTraced(t, 1)
 	for _, e := range events {
 		if e.Round < 1 || e.Round > res.Rounds {
 			t.Errorf("event round %d outside [1, %d]", e.Round, res.Rounds)
@@ -120,14 +124,40 @@ func TestWrappedExecutionIdenticalToBare(t *testing.T) {
 	}
 }
 
+// TestConcurrentBackendSafeAndEquivalent: the sharded engine records the
+// same events as the sequential one; only their order within a round may
+// follow goroutine scheduling.
 func TestConcurrentBackendSafeAndEquivalent(t *testing.T) {
-	seqRes, seqEvents, _ := runTraced(t, false)
-	concRes, concEvents, _ := runTraced(t, true)
-	if seqRes != concRes {
-		t.Errorf("backends diverged under tracing: %+v vs %+v", seqRes, concRes)
+	seqRes, seqEvents, _ := runTraced(t, 1)
+	parRes, parEvents, _ := runTraced(t, 2)
+	if seqRes != parRes {
+		t.Errorf("backends diverged under tracing: %+v vs %+v", seqRes, parRes)
 	}
-	if len(seqEvents) != len(concEvents) {
-		t.Errorf("event counts differ: %d vs %d", len(seqEvents), len(concEvents))
+	perRound := map[int]int{}
+	for _, e := range seqEvents {
+		if e.Kind == "connect" {
+			perRound[e.Round]++
+		}
+	}
+	// 64 is mtm's shardMinConns: below it the exchange phase stays sequential.
+	if busiest := slices.Max(slices.Collect(maps.Values(perRound))); busiest < 64 {
+		t.Fatalf("busiest round had %d connections; the exchange phase never ran in parallel", busiest)
+	}
+	for _, evs := range [][]Event{seqEvents, parEvents} {
+		sort.Slice(evs, func(i, j int) bool {
+			a, b := evs[i], evs[j]
+			if a.Round != b.Round {
+				return a.Round < b.Round
+			}
+			if a.Kind != b.Kind {
+				return a.Kind < b.Kind
+			}
+			return a.Node < b.Node
+		})
+	}
+	if !slices.Equal(seqEvents, parEvents) {
+		t.Errorf("event streams differ beyond intra-round order (%d vs %d events)",
+			len(seqEvents), len(parEvents))
 	}
 }
 

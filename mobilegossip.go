@@ -6,7 +6,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 
 	"mobilegossip/internal/core"
@@ -100,8 +99,6 @@ type Config struct {
 	Seed uint64
 	// MaxRounds aborts unfinished runs (default 2^22).
 	MaxRounds int
-	// Concurrent selects the goroutine-per-connection engine backend.
-	Concurrent bool
 	// EngineWorkers selects the deterministic shard-parallel round engine:
 	// the node range is split into EngineWorkers contiguous, degree-balanced
 	// shards and every round phase runs shard-parallel, byte-identical to
@@ -117,7 +114,6 @@ type Config struct {
 	// not part of the checkpoint: sequential and parallel runs write
 	// interchangeable, byte-identical checkpoints, and a resumed session
 	// re-resolves its own worker count (override with SetEngineWorkers).
-	// When ≥ 2 it supersedes Concurrent.
 	EngineWorkers int
 	// Profile attaches the timing sidecar (internal/profile, DESIGN.md
 	// §13): per-round phase spans and shard timing aggregated into
@@ -137,18 +133,6 @@ type Config struct {
 	// EndRun. Provided implementations: NewTraceObserver,
 	// NewPotentialSampler, NewChurnMeter.
 	Observers []Observer
-	// OnRound, if set, receives (round, φ) after every round.
-	//
-	// Legacy hook: it is adapted onto the observer pipeline; new code
-	// should use Observers with a custom Observer (or NewPotentialSampler).
-	OnRound func(round, potential int)
-	// TraceWriter, if set, receives one JSON line per proposal and per
-	// accepted connection (see internal/trace for the event schema).
-	//
-	// Legacy hook: it is adapted onto the observer pipeline; new code
-	// should use Observers with NewTraceObserver, whose Err survives the
-	// run.
-	TraceWriter io.Writer
 }
 
 // Result reports a finished (or aborted) run.

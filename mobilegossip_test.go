@@ -117,14 +117,18 @@ func TestRunMaxRoundsAborts(t *testing.T) {
 }
 
 func TestRunOnRoundPotentialTrace(t *testing.T) {
-	var phis []int
+	sampler := NewPotentialSampler(1)
 	_, err := Run(Config{
 		Algorithm: AlgSharedBit, N: 10, K: 3,
 		Topology: Topology{Kind: Complete}, Seed: 5,
-		OnRound: func(r, phi int) { phis = append(phis, phi) },
+		Observers: []Observer{sampler},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	var phis []int
+	for _, s := range sampler.Samples()[1:] { // skip the BeginRun sample
+		phis = append(phis, s.Potential)
 	}
 	if len(phis) == 0 || phis[len(phis)-1] != 0 {
 		t.Fatalf("potential trace bad: %v", phis)

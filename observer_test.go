@@ -1,7 +1,7 @@
 package mobilegossip_test
 
 // Tests for the observer pipeline: the provided observers must agree with
-// the legacy hooks and with the engine's own meters.
+// plain per-round observers and with the engine's own meters.
 
 import (
 	"bytes"
@@ -57,17 +57,27 @@ func (r *recordingObserver) BeginRun(sim *mobilegossip.Simulation) { r.on("begin
 func (r *recordingObserver) EndRound(s mobilegossip.RoundStats)    { r.on("round", s.Round) }
 func (r *recordingObserver) EndRun(res mobilegossip.Result)        { r.on("end", res.Rounds) }
 
-// TestPotentialSamplerMatchesOnRound: the sampler observer and the legacy
-// OnRound hook must see identical φ values.
+// roundObserver calls fn after every round: a per-round callback in
+// Observer form.
+type roundObserver struct {
+	mobilegossip.NopObserver
+	fn func(mobilegossip.RoundStats)
+}
+
+func (o roundObserver) EndRound(s mobilegossip.RoundStats) { o.fn(s) }
+
+// TestPotentialSamplerMatchesOnRound: the sampler and a plain per-round
+// observer must see identical φ values.
 func TestPotentialSamplerMatchesOnRound(t *testing.T) {
 	sampler := mobilegossip.NewPotentialSampler(1)
-	var legacy []int
+	var perRound []int
 	cfg := mobilegossip.Config{
 		Algorithm: mobilegossip.AlgSharedBit, N: 12, K: 3,
-		Topology:  mobilegossip.Topology{Kind: mobilegossip.Complete},
-		Seed:      5,
-		OnRound:   func(r, phi int) { legacy = append(legacy, phi) },
-		Observers: []mobilegossip.Observer{sampler},
+		Topology: mobilegossip.Topology{Kind: mobilegossip.Complete},
+		Seed:     5,
+		Observers: []mobilegossip.Observer{sampler, roundObserver{fn: func(s mobilegossip.RoundStats) {
+			perRound = append(perRound, s.Potential)
+		}}},
 	}
 	if _, err := mobilegossip.Run(cfg); err != nil {
 		t.Fatal(err)
@@ -76,14 +86,14 @@ func TestPotentialSamplerMatchesOnRound(t *testing.T) {
 	if len(samples) == 0 || samples[0].Round != 0 {
 		t.Fatalf("sampler missing the round-0 sample: %+v", samples)
 	}
-	per := samples[1:] // drop the BeginRun sample; every=1 then mirrors OnRound
+	per := samples[1:] // drop the BeginRun sample; every=1 then mirrors EndRound
 	// The final round appears once from every=1 and is not duplicated.
-	if len(per) != len(legacy) {
-		t.Fatalf("sampler has %d per-round samples, OnRound saw %d", len(per), len(legacy))
+	if len(per) != len(perRound) {
+		t.Fatalf("sampler has %d per-round samples, the observer saw %d", len(per), len(perRound))
 	}
 	for i, s := range per {
-		if s.Potential != legacy[i] || s.Round != i+1 {
-			t.Fatalf("sample %d = %+v, legacy φ=%d", i, s, legacy[i])
+		if s.Potential != perRound[i] || s.Round != i+1 {
+			t.Fatalf("sample %d = %+v, observer φ=%d", i, s, perRound[i])
 		}
 	}
 }
@@ -111,36 +121,40 @@ func TestPotentialSamplerFinalRound(t *testing.T) {
 	}
 }
 
-// TestTraceObserverMatchesTraceWriter: the observer and the legacy field
-// must produce byte-identical event streams.
-func TestTraceObserverMatchesTraceWriter(t *testing.T) {
-	cfg := mobilegossip.Config{
-		Algorithm: mobilegossip.AlgSharedBit, N: 14, K: 3,
-		Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
-		Seed:     6,
-	}
-	var legacy bytes.Buffer
-	lcfg := cfg
-	lcfg.TraceWriter = &legacy
-	if _, err := mobilegossip.Run(lcfg); err != nil {
-		t.Fatal(err)
-	}
-
-	var observed bytes.Buffer
-	to := mobilegossip.NewTraceObserver(&observed)
-	ocfg := cfg
-	ocfg.Observers = []mobilegossip.Observer{to}
-	if _, err := mobilegossip.Run(ocfg); err != nil {
-		t.Fatal(err)
-	}
-	if to.Err() != nil {
-		t.Fatal(to.Err())
-	}
-	if to.Events() == 0 {
-		t.Fatal("trace observer recorded nothing")
-	}
-	if !bytes.Equal(legacy.Bytes(), observed.Bytes()) {
-		t.Fatal("TraceObserver and TraceWriter event streams differ")
+// TestTraceObserverMatchesResultMeters: for every algorithm, the trace
+// stream's propose/connect counts equal the run's Proposals and
+// Connections meters.
+func TestTraceObserverMatchesResultMeters(t *testing.T) {
+	for _, alg := range []mobilegossip.Algorithm{
+		mobilegossip.AlgBlindMatch, mobilegossip.AlgSharedBit,
+		mobilegossip.AlgSimSharedBit, mobilegossip.AlgCrowdedBin,
+	} {
+		var buf bytes.Buffer
+		to := mobilegossip.NewTraceObserver(&buf)
+		res, err := mobilegossip.Run(mobilegossip.Config{
+			Algorithm: alg, N: 14, K: 3,
+			Topology: mobilegossip.Topology{Kind: mobilegossip.RandomRegular, Degree: 4},
+			Seed:     6, MaxRounds: 2000,
+			Observers: []mobilegossip.Observer{to},
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		if to.Err() != nil {
+			t.Fatalf("%v: %v", alg, to.Err())
+		}
+		proposals := int64(bytes.Count(buf.Bytes(), []byte(`"kind":"propose"`)))
+		connects := int64(bytes.Count(buf.Bytes(), []byte(`"kind":"connect"`)))
+		if proposals == 0 || connects == 0 {
+			t.Fatalf("%v: trace recorded %d/%d proposals/connects", alg, proposals, connects)
+		}
+		if proposals+connects != to.Events() {
+			t.Errorf("%v: stream holds %d events, observer recorded %d", alg, proposals+connects, to.Events())
+		}
+		if proposals != res.Proposals || connects != res.Connections {
+			t.Errorf("%v: trace counted %d/%d proposals/connects, result says %d/%d",
+				alg, proposals, connects, res.Proposals, res.Connections)
+		}
 	}
 }
 

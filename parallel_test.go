@@ -28,7 +28,9 @@ type workerTrace struct {
 func traceRun(t *testing.T, cfg mobilegossip.Config) workerTrace {
 	t.Helper()
 	var tr workerTrace
-	cfg.OnRound = func(round, potential int) { tr.phi = append(tr.phi, potential) }
+	cfg.Observers = append(cfg.Observers, roundObserver{fn: func(s mobilegossip.RoundStats) {
+		tr.phi = append(tr.phi, s.Potential)
+	}})
 	res, err := mobilegossip.Run(cfg)
 	if err != nil {
 		t.Fatalf("Run (workers %d): %v", cfg.EngineWorkers, err)

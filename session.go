@@ -13,7 +13,6 @@ import (
 	"mobilegossip/internal/mtm"
 	"mobilegossip/internal/prand"
 	"mobilegossip/internal/profile"
-	"mobilegossip/internal/trace"
 )
 
 // tokenCounts adapts the run state onto adversary.StateReader.
@@ -39,7 +38,7 @@ func (t tokenCounts) TokenCount(u int) int { return t.st.Set(u).Len() }
 // Resume on another process — byte-identically to an uninterrupted run.
 //
 // A Simulation is not safe for concurrent use; drive it from one
-// goroutine (Config.Concurrent parallelism happens inside Step).
+// goroutine (Config.EngineWorkers parallelism happens inside Step).
 type Simulation struct {
 	cfg   Config
 	st    *core.State
@@ -49,7 +48,6 @@ type Simulation struct {
 	eng   *mtm.Engine
 
 	observers []Observer
-	legacyRec *trace.Recorder // Config.TraceWriter recorder, for Run's error contract
 	began     bool
 	finished  bool
 
@@ -72,9 +70,7 @@ var ErrSimulationDone = errors.New("mobilegossip: simulation already finished")
 var ErrBudgetExceeded = mtm.ErrBudgetExceeded
 
 // New validates cfg and builds a simulation session positioned before
-// round 1. The legacy Config.OnRound and Config.TraceWriter fields are
-// honored by adapting them onto the observer pipeline; new code should
-// attach Config.Observers (or call Observe) instead.
+// round 1, with Config.Observers attached.
 func New(cfg Config) (*Simulation, error) {
 	if cfg.N < 2 {
 		return nil, ErrBadN
@@ -143,22 +139,13 @@ func New(cfg Config) (*Simulation, error) {
 		s.lastAdvEpoch = adv.Epoch()
 	}
 	s.eng = mtm.NewEngine(dyn, s.proto, mtm.Config{
-		Seed:       prand.Mix64(cfg.Seed ^ 0x51afd7ed558ccd6d),
-		MaxRounds:  cfg.MaxRounds,
-		Concurrent: cfg.Concurrent,
-		Workers:    resolveEngineWorkers(cfg.EngineWorkers, cfg.N),
+		Seed:      prand.Mix64(cfg.Seed ^ 0x51afd7ed558ccd6d),
+		MaxRounds: cfg.MaxRounds,
+		Workers:   resolveEngineWorkers(cfg.EngineWorkers, cfg.N),
 	})
 
 	if cfg.Profile {
 		s.EnableProfiling()
-	}
-	if cfg.OnRound != nil {
-		s.Observe(onRoundObserver{fn: cfg.OnRound})
-	}
-	if cfg.TraceWriter != nil {
-		to := NewTraceObserver(cfg.TraceWriter)
-		s.legacyRec = to.rec
-		s.Observe(to)
 	}
 	s.Observe(cfg.Observers...)
 	return s, nil
@@ -293,8 +280,8 @@ func (s *Simulation) Bus() *events.Bus { return s.bus }
 // Observers are delivered through the session's event bus: the first
 // Observe call registers the pipeline as a synchronous, lossless bus
 // subscriber, so observers and event sinks see the same stream in the
-// same order — and legacy behavior (ordering, per-round stats, the
-// final Result) is byte-identical to the pre-bus direct calls.
+// same order, with ordering, per-round stats and the final Result
+// byte-identical to the pre-bus direct calls.
 //
 // Protocol-tapping observers record events from inside the engine's round
 // phases, so under a parallel engine their per-round event order follows
@@ -455,15 +442,10 @@ func (s *Simulation) Run(ctx context.Context) (Result, error) {
 		return s.Result(), err
 	}
 	s.finish()
-	res := s.Result()
-	var err error
 	if s.eng.OverBudget() {
-		err = ErrBudgetExceeded
+		return s.Result(), ErrBudgetExceeded
 	}
-	if err == nil && s.legacyRec != nil {
-		err = s.legacyRec.Err()
-	}
-	return res, err
+	return s.Result(), nil
 }
 
 // Done reports whether the run is over: the objective was reached or

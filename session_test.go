@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mobilegossip"
@@ -226,11 +227,11 @@ func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	stopAt := want.Rounds / 3
 	cfg2 := cfg
-	cfg2.OnRound = func(r, _ int) {
-		if r == stopAt {
+	cfg2.Observers = []mobilegossip.Observer{roundObserver{fn: func(s mobilegossip.RoundStats) {
+		if s.Round == stopAt {
 			cancel()
 		}
-	}
+	}}}
 	sim, err := mobilegossip.New(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +292,31 @@ func TestResumeRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := mobilegossip.Resume(bytes.NewReader(trunc)); err == nil {
 		t.Fatal("truncated checkpoint resumed without error")
+	}
+}
+
+// TestResumeRejectsVersion3: version 4 dropped the removed Concurrent flag
+// from the config block, so a version-3 stream must be refused by version
+// rather than misread from that field on.
+func TestResumeRejectsVersion3(t *testing.T) {
+	sim, err := mobilegossip.New(mobilegossip.Config{Algorithm: mobilegossip.AlgSharedBit, N: 8, K: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sim.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The stream opens with the length-prefixed magic, then the version.
+	const versionAt = 1 + len("mobilegossip/checkpoint")
+	stream := buf.Bytes()
+	if stream[versionAt] != mobilegossip.CheckpointVersion {
+		t.Fatalf("version byte %d at offset %d, want %d", stream[versionAt], versionAt, mobilegossip.CheckpointVersion)
+	}
+	stream[versionAt] = 3
+	_, err = mobilegossip.Resume(bytes.NewReader(stream))
+	if !errors.Is(err, mobilegossip.ErrCheckpointFormat) || !strings.Contains(err.Error(), "version 3") {
+		t.Fatalf("version-3 stream: err = %v, want ErrCheckpointFormat naming version 3", err)
 	}
 }
 
